@@ -16,7 +16,6 @@
 //! (rayon-parallel, byte-deterministic) is untouched downstream.
 
 use datatamer_entity::blocking::{Blocker, BlockingStrategy, OversizeFallback};
-use datatamer_entity::cluster::cluster_pairs;
 use datatamer_entity::incremental::IncrementalConsolidator;
 use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
 use datatamer_model::Record;
@@ -73,13 +72,6 @@ pub struct BlockedErConfig {
     pub scorer: ScorerSpec,
     /// Pairs scoring at or above this are duplicates.
     pub accept_threshold: f64,
-    /// Run consolidation through the resident-state
-    /// [`IncrementalConsolidator`] instead of the batch path. Inside one
-    /// staged run the two are byte-identical (the pin
-    /// `tests/incremental_equivalence.rs` holds at any thread count); the
-    /// difference is that [`crate::DataTamer::consolidate_delta`] can then
-    /// keep feeding the same resident state O(delta) batches.
-    pub incremental: bool,
     /// Cap on the resident score memo, in entries (`None` = unbounded).
     /// Any value — including 0 — preserves byte-identical clusters; an
     /// evicted score simply recomputes when next needed (see
@@ -100,7 +92,6 @@ impl Default for BlockedErConfig {
             fallback: OversizeFallback::default(),
             scorer: ScorerSpec::default(),
             accept_threshold: 0.75,
-            incremental: false,
             memo_budget: None,
             window_budget: None,
         }
@@ -124,6 +115,9 @@ impl BlockedErConfig {
         .with_window_budget(self.window_budget)
     }
 }
+
+/// A blocked-ER consolidator and the configuration it was built from.
+pub(crate) type Handoff = (BlockedErConfig, IncrementalConsolidator);
 
 /// How the entity-consolidation stage forms candidate groups.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -166,71 +160,52 @@ impl GroupingStrategy {
         records: &[Record],
         fuzzy_threshold: f64,
     ) -> (Vec<FusionGroup>, GroupingReport) {
+        let (groups, report, _) = self.groups_keeping_consolidator(records, fuzzy_threshold);
+        (groups, report)
+    }
+
+    /// [`GroupingStrategy::groups_with_report`], also returning blocked
+    /// ER's consolidator with the configuration it was built from, so the
+    /// staged pipeline can keep that resident state for
+    /// [`crate::DataTamer::consolidate_delta`].
+    ///
+    /// Blocked ER runs the whole corpus as one batch into a fresh
+    /// [`IncrementalConsolidator`], the one blocked-ER engine. Every step
+    /// is deterministic at any thread count (blocking output is sorted and
+    /// deduplicated, scoring preserves pair order, clusters are ordered by
+    /// smallest member), so the group list — and therefore the fused
+    /// output — is byte-identical across pool widths. Everything is new in
+    /// a one-shot ingest, so the delta counters are the full run's.
+    pub(crate) fn groups_keeping_consolidator(
+        &self,
+        records: &[Record],
+        fuzzy_threshold: f64,
+    ) -> (Vec<FusionGroup>, GroupingReport, Option<Handoff>) {
         match self {
             GroupingStrategy::CanonicalName => {
                 let policy = FusionPolicy::Fuzzy { threshold: fuzzy_threshold };
-                (group_records(records, &policy), GroupingReport::default())
+                (group_records(records, &policy), GroupingReport::default(), None)
             }
-            GroupingStrategy::BlockedEr(config) => blocked_groups(records, config),
+            GroupingStrategy::BlockedEr(config) => {
+                let mut inc = config.build_incremental();
+                let delta = inc.ingest(records);
+                let groups = clusters_to_groups(records, inc.clusters().iter().cloned(), config);
+                let report = GroupingReport {
+                    candidate_pairs: delta.candidate_pairs,
+                    accepted_pairs: delta.accepted_pairs,
+                    degraded_buckets: delta.degraded_buckets,
+                };
+                (groups, report, Some((config.clone(), inc)))
+            }
         }
     }
-}
-
-/// The blocked-ER grouping path: every step is deterministic at any thread
-/// count (blocking output is sorted/deduplicated, scoring preserves pair
-/// order, union-find clusters are ordered by smallest member), so the
-/// group list — and therefore the fused output — is byte-identical across
-/// pool widths.
-fn blocked_groups(
-    records: &[Record],
-    config: &BlockedErConfig,
-) -> (Vec<FusionGroup>, GroupingReport) {
-    if config.incremental {
-        // One-shot incremental run: the whole corpus as a single delta
-        // batch against fresh resident state. Same clusters, same counts
-        // (everything is new, so the delta candidate set is the full one).
-        let mut inc = config.build_incremental();
-        let delta = inc.ingest(records);
-        let groups = clusters_to_groups(records, inc.clusters().iter().cloned(), config);
-        let report = GroupingReport {
-            candidate_pairs: delta.candidate_pairs,
-            accepted_pairs: delta.accepted_pairs,
-            degraded_buckets: delta.degraded_buckets,
-        };
-        return (groups, report);
-    }
-    let blocker = config.build_blocker();
-    let scorer = config.scorer.build();
-    // Prepare the scoring context once — before the rayon fan-out — so
-    // each record's features (interned attributes and tokens, parsed
-    // numerics, lowercased text) are normalised exactly once no matter how
-    // many candidate pairs blocking put it in; the parallel filter then
-    // scores allocation-free against the shared context. The same context
-    // hands blocking its full-key sort axis (progressive fallback and
-    // sorted-neighborhood order), replacing what used to be a second
-    // render + lowercase pass over the raw records.
-    let prepared = scorer.prepare(records);
-    let outcome = blocker.candidates_with_report_keyed(records, &|| {
-        prepared
-            .sort_keys(&config.key_attr)
-            .expect("a rules scoring context serves any attribute's sort keys")
-    });
-    let accepted = prepared.accepted_pairs(&outcome.pairs, config.accept_threshold);
-    let clusters = cluster_pairs(records.len(), &accepted);
-    let groups = clusters_to_groups(records, clusters.into_iter(), config);
-    let report = GroupingReport {
-        candidate_pairs: outcome.pairs.len(),
-        accepted_pairs: accepted.len(),
-        degraded_buckets: outcome.degraded_buckets,
-    };
-    (groups, report)
 }
 
 /// Keep the FusionGroup contract of the canonical-name path: records
 /// lacking the key attribute form no group (they never pair, so they can
 /// only be singletons here), and each group's key is the canonical form of
 /// its first member's key value.
-pub(crate) fn clusters_to_groups(
+fn clusters_to_groups(
     records: &[Record],
     clusters: impl Iterator<Item = Vec<usize>>,
     config: &BlockedErConfig,
@@ -320,30 +295,6 @@ mod tests {
         let strategy = GroupingStrategy::BlockedEr(BlockedErConfig::default());
         let (_, report) = strategy.groups_with_report(&records, 0.88);
         assert_eq!(report.degraded_buckets, 1, "the 'common' bucket blew the cap");
-    }
-
-    #[test]
-    fn incremental_flag_matches_the_batch_path() {
-        // One staged run through the resident-state consolidator must
-        // produce the same groups AND the same health counters as the
-        // batch path — the two are different engines over the same math.
-        let mut records = vec![
-            rec(0, "Walking Dead", "$27"),
-            rec(1, "Dead Walking", "$27"),
-            rec(2, "Completely Unrelated", "$99"),
-        ];
-        // Enough shared-token records to blow the bucket cap and exercise
-        // the degraded-window path on both sides.
-        records.extend((3..300).map(|i| rec(i, &format!("common unique{i}"), "$1")));
-        let batch = GroupingStrategy::BlockedEr(BlockedErConfig::default())
-            .groups_with_report(&records, 0.88);
-        let incremental = GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
-            ..Default::default()
-        })
-        .groups_with_report(&records, 0.88);
-        assert_eq!(incremental, batch);
-        assert!(batch.1.degraded_buckets >= 1, "the 'common' bucket must degrade");
     }
 
     #[test]

@@ -31,6 +31,7 @@ mod reliability;
 mod resolve;
 
 pub use grouping::{BlockedErConfig, GroupingReport, GroupingStrategy, ScorerSpec};
+pub(crate) use grouping::Handoff;
 pub use registry::{RegistryConfig, ResolverRegistry, ResolverSpec};
 pub use reliability::SourceReliability;
 pub use resolve::{

@@ -103,7 +103,10 @@ impl<'a> PipelinePlan<'a> {
 /// [`DataTamer::consolidate_delta`] calls: the incremental consolidator
 /// (blocking indices, scoring context, score memo, persistent union-find)
 /// plus a fused-entity cache keyed by stable cluster id (the cluster's
-/// smallest member index), so only dirty clusters re-resolve.
+/// smallest member index), so only dirty clusters re-resolve. The
+/// consolidator is the one the entity-consolidation stage grouped with
+/// when that stage ran blocked ER over the current corpus under the
+/// grouping in effect; otherwise a seed builds it from the corpus.
 struct ResidentEr {
     consolidator: IncrementalConsolidator,
     /// The blocked-ER configuration the consolidator was built from; a
@@ -341,8 +344,12 @@ impl DataTamer {
     /// resident pairwise state to be incremental against); anything else is
     /// a [`DtError::Config`].
     ///
-    /// The first call seeds the resident state by ingesting the current
-    /// corpus (integrated structured records, then text show records); each
+    /// The first call seeds the resident state from the current corpus
+    /// (integrated structured records, then text show records). It adopts
+    /// the [`IncrementalConsolidator`] the entity-consolidation stage left
+    /// behind when that stage ingested this very corpus under the grouping
+    /// in effect, so the stage's ER is not repeated; otherwise it builds one
+    /// by ingesting the corpus. Both give the same resident state. Each
     /// call then ingests `batch` through the
     /// [`IncrementalConsolidator`]: the scoring context and blocking
     /// indices extend in place, only buckets the batch touched are probed
@@ -362,7 +369,8 @@ impl DataTamer {
     /// Interleaving with the batch entry points stays consistent: if
     /// `register_structured` / `ingest_webtext` / `run` grew the base
     /// corpus since seeding, the next delta reseeds from the refreshed
-    /// corpus and replays all prior delta batches (an O(corpus) catch-up,
+    /// corpus — adopting a `run`'s consolidator as above — and replays all
+    /// prior delta batches (an O(corpus) catch-up when nothing is adopted,
     /// after which ingest is O(delta) again). A resolver-routing change
     /// invalidates only the fused-entity cache, not the consolidator.
     pub fn consolidate_delta(&mut self, batch: &[Record]) -> datatamer_model::Result<DeltaReport> {
@@ -377,6 +385,10 @@ impl DataTamer {
             }
         };
 
+        // The consolidator the last blocked-ER stage left behind: adopted
+        // below when it is exactly the seed a reseed would build, dropped
+        // otherwise, so at most one consolidator stays resident.
+        let handoff = self.ctx.handoff.take();
         // (Re)seed when there is no resident state, the blocked-ER config
         // changed, or the base corpus grew behind our back.
         let stale = match &self.resident_er {
@@ -401,15 +413,29 @@ impl DataTamer {
                     log = Some(DeltaLog::open(&log_config.path)?);
                 }
             }
-            let mut consolidator = config.build_incremental();
-            let mut corpus = Vec::with_capacity(
-                self.ctx.structured_records.len() + self.ctx.text_show_records.len(),
-            );
-            corpus.extend(self.ctx.structured_records.iter().cloned());
-            corpus.extend(self.ctx.text_show_records.iter().cloned());
-            if !corpus.is_empty() {
-                consolidator.ingest(&corpus);
-            }
+            // The stage ingested the whole corpus — structured records, then
+            // text show records — as one batch under its configuration.
+            // The corpus only ever grows, so a matching configuration and
+            // length mean the stage ran the very ingest a reseed would.
+            let corpus_len =
+                self.ctx.structured_records.len() + self.ctx.text_show_records.len();
+            let mut consolidator = match handoff {
+                Some((built_from, consolidator))
+                    if built_from == config && consolidator.len() == corpus_len =>
+                {
+                    consolidator
+                }
+                _ => {
+                    let mut consolidator = config.build_incremental();
+                    let mut corpus = Vec::with_capacity(corpus_len);
+                    corpus.extend(self.ctx.structured_records.iter().cloned());
+                    corpus.extend(self.ctx.text_show_records.iter().cloned());
+                    if !corpus.is_empty() {
+                        consolidator.ingest(&corpus);
+                    }
+                    consolidator
+                }
+            };
             // Replay, in arrival order: the log's persisted batches, then
             // whatever never reached the log. Replay never re-appends.
             let mut replay: Vec<Record> = match &log {
@@ -474,7 +500,7 @@ impl DataTamer {
             resident.delta_records.extend(batch.iter().cloned());
         }
 
-        // Rebuild the group list (same contract as the batch path: keyless
+        // Rebuild the group list (same contract as the stage: keyless
         // or canonically-empty clusters form no group) and fuse — clean
         // clusters reuse their cached composite, dirty ones re-resolve in
         // parallel.
@@ -1110,12 +1136,181 @@ mod tests {
         assert_eq!(d.total_records, 12, "s1 + s2 + both deltas");
 
         let mut all = s1.clone();
+        all.extend(s2.iter().cloned());
+        all.extend(batch.iter().cloned());
+        all.extend(batch2.iter().cloned());
+        let mut full = DataTamer::new(config.clone());
+        full.run(PipelinePlan::new().structured("s1", &all)).unwrap();
+        assert_eq!(fingerprints(&inc.context().fused), fingerprints(&full.context().fused));
+
+        // A `run` grows the corpus after deltas were accepted: its stage
+        // leaves a consolidator over the grown base corpus, the next delta
+        // adopts it (taking it out of the context) and replays both prior
+        // batches on top — the same bytes as a rebuild.
+        let s3: Vec<Record> =
+            (0..3).map(|i| show(70 + i, &format!("Gammashow{i} Three{i}"), "$30")).collect();
+        inc.run(PipelinePlan::new().structured("s3", &s3)).unwrap();
+        let left = inc.ctx.handoff.as_ref().map(|(_, c)| c.len());
+        assert_eq!(left, Some(s1.len() + s2.len() + s3.len()), "the stage left its consolidator");
+        let batch3 = vec![show(102, "Gammashow2 Three2", "$30")];
+        let d = inc.consolidate_delta(&batch3).unwrap();
+        assert_eq!(d.total_records, 16, "s1 + s2 + s3 + three deltas");
+        assert!(inc.ctx.handoff.is_none(), "at most one consolidator stays resident");
+
+        let mut all = s1;
         all.extend(s2);
+        all.extend(s3);
         all.extend(batch);
         all.extend(batch2);
+        all.extend(batch3);
         let mut full = DataTamer::new(config);
         full.run(PipelinePlan::new().structured("s1", &all)).unwrap();
         assert_eq!(fingerprints(&inc.context().fused), fingerprints(&full.context().fused));
+        assert_eq!(inc.context().fusion_groups, full.context().fusion_groups);
+    }
+
+    #[test]
+    fn consolidate_delta_never_adopts_a_consolidator_built_under_another_grouping() {
+        use crate::fusion::BlockedErConfig;
+        let mut config = small_config();
+        config.grouping = GroupingStrategy::BlockedEr(BlockedErConfig::default());
+        // The word-order pair clears the default 0.75 threshold but not 0.9.
+        let corpus = vec![
+            show(0, "Walking Dead", "$27"),
+            show(1, "Dead Walking", "$30"),
+            show(2, "Completely Unrelated", "$99"),
+        ];
+
+        let mut dt = DataTamer::new(config.clone());
+        dt.register_structured("s1", &corpus).unwrap();
+        let strict = GroupingStrategy::BlockedEr(BlockedErConfig {
+            accept_threshold: 0.9,
+            ..Default::default()
+        });
+        let mut stages: Vec<Box<dyn PipelineStage + '_>> = vec![
+            Box::new(EntityConsolidationStage::with_strategy(strict)),
+            Box::<FusionStage>::default(),
+        ];
+        run_stages(&mut dt.ctx, &mut stages).unwrap();
+        assert_eq!(dt.context().fusion_groups.len(), 3, "0.9 keeps the pair apart");
+        assert!(dt.ctx.handoff.is_some());
+
+        // The grouping in effect is still the default: the 0.9 consolidator
+        // is dropped, not adopted, and the delta output is a rebuild's.
+        dt.consolidate_delta(&[]).unwrap();
+        assert!(dt.ctx.handoff.is_none());
+        let mut full = DataTamer::new(config);
+        full.run(PipelinePlan::new().structured("s1", &corpus)).unwrap();
+        assert_eq!(full.context().fusion_groups.len(), 2, "0.75 unites the pair");
+        assert_eq!(fingerprints(&dt.context().fused), fingerprints(&full.context().fused));
+        assert_eq!(dt.context().fusion_groups, full.context().fusion_groups);
+    }
+
+    /// Blocked ER keyed on `name` through the staged pipeline: the
+    /// consolidation and fusion stages over `records`, returning the
+    /// context they ran in.
+    fn blocked_stage_run(records: &[Record], accept_threshold: f64) -> PipelineContext {
+        use crate::fusion::BlockedErConfig;
+        let config = BlockedErConfig {
+            key_attr: "name".to_owned(),
+            accept_threshold,
+            ..Default::default()
+        };
+        let mut ctx = PipelineContext::new(small_config());
+        ctx.structured_records = records.to_vec();
+        let mut stages: Vec<Box<dyn PipelineStage + '_>> = vec![
+            Box::new(EntityConsolidationStage::with_strategy(GroupingStrategy::BlockedEr(config))),
+            Box::<FusionStage>::default(),
+        ];
+        run_stages(&mut ctx, &mut stages).unwrap();
+        ctx
+    }
+
+    fn blocking_of(ctx: &PipelineContext) -> GroupingReport {
+        match ctx.report_of(stage_names::ENTITY_CONSOLIDATION).unwrap() {
+            StageReport::EntityConsolidation { blocking, .. } => *blocking,
+            other => panic!("wrong report variant: {other:?}"),
+        }
+    }
+
+    fn named(id: u64, name: &str, price: &str) -> Record {
+        Record::from_pairs(
+            SourceId(u32::from(id % 2 == 1)),
+            RecordId(id),
+            vec![("name", Value::from(name)), ("price", Value::from(price))],
+        )
+    }
+
+    fn named_sample() -> Vec<Record> {
+        vec![
+            named(0, "Matilda", "$27"),
+            named(1, "matilda", "$27"),
+            named(2, "Wicked", "$99"),
+            named(3, "WICKED", "$98"),
+            named(4, "Annie", "$45"),
+        ]
+    }
+
+    #[test]
+    fn pipeline_clusters_duplicates() {
+        let ctx = blocked_stage_run(&named_sample(), 0.75);
+        let clusters: Vec<&Vec<usize>> = ctx.fusion_groups.iter().map(|(_, m)| m).collect();
+        assert_eq!(clusters, [&vec![0, 1], &vec![2, 3], &vec![4]]);
+        assert_eq!(ctx.fused.len(), 3, "one composite per cluster");
+        let merged: usize =
+            ctx.fused.iter().map(|f| f.member_count).filter(|&n| n > 1).sum();
+        assert_eq!(merged, 4);
+        let blocking = blocking_of(&ctx);
+        assert!(blocking.accepted_pairs >= 2);
+        assert_eq!(blocking.degraded_buckets, 0, "tiny buckets never degrade");
+    }
+
+    #[test]
+    fn oversized_buckets_surface_in_the_stage_report() {
+        let records: Vec<Record> =
+            (0..400u64).map(|i| named(i, &format!("common unique{i}"), "$1")).collect();
+        let ctx = blocked_stage_run(&records, 0.75);
+        assert_eq!(blocking_of(&ctx).degraded_buckets, 1, "the 'common' bucket blew the cap");
+    }
+
+    #[test]
+    fn composites_carry_merged_values() {
+        let ctx = blocked_stage_run(&named_sample(), 0.75);
+        let matilda = DataTamer::lookup(&ctx.fused, "Matilda").unwrap();
+        assert_eq!(matilda.member_count, 2);
+        assert_eq!(matilda.record.get_text("price").as_deref(), Some("$27"));
+    }
+
+    #[test]
+    fn high_threshold_separates_everything() {
+        let ctx = blocked_stage_run(&named_sample(), 1.01);
+        assert_eq!(ctx.fusion_groups.len(), 5);
+        assert!(ctx.fused.iter().all(|f| f.member_count == 1));
+        assert_eq!(blocking_of(&ctx).accepted_pairs, 0);
+    }
+
+    #[test]
+    fn empty_input() {
+        let ctx = blocked_stage_run(&[], 0.75);
+        assert!(ctx.fusion_groups.is_empty());
+        assert!(ctx.fused.is_empty());
+        assert_eq!(blocking_of(&ctx), GroupingReport::default());
+    }
+
+    #[test]
+    fn blocking_saves_comparisons_at_scale() {
+        // Names share tokens only within small groups — the realistic case
+        // blocking exploits (a universally shared token would defeat it).
+        let records: Vec<Record> = (0..200u64)
+            .map(|i| named(i, &format!("Unique{i} Group{}", i % 7), "$10"))
+            .collect();
+        let ctx = blocked_stage_run(&records, 0.75);
+        let all_pairs = 200 * 199 / 2;
+        let candidates = blocking_of(&ctx).candidate_pairs;
+        assert!(
+            candidates * 2 < all_pairs,
+            "blocking must prune most pairs: {candidates} of {all_pairs}"
+        );
     }
 
     #[test]

@@ -30,7 +30,8 @@ use crate::catalog::{Catalog, SourceKind};
 use crate::config::DataTamerConfig;
 use crate::fusion::{
     group_records, merge_groups_with, FusedEntity, FusionGroup, FusionPolicy, GroupingReport,
-    GroupingStrategy, ResolverRegistry, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME, THEATER,
+    GroupingStrategy, Handoff, ResolverRegistry, CHEAPEST_PRICE, FIRST, PERFORMANCE, SHOW_NAME,
+    THEATER,
 };
 use crate::ingest::{IngestStats, TextIngestor};
 use crate::pipeline::{record_to_doc, GLOBAL_RECORDS_COLLECTION};
@@ -203,6 +204,12 @@ pub struct PipelineContext {
     /// replaces it, so ad-hoc re-fusion groups the way the context's fused
     /// output was grouped.
     pub grouping: GroupingStrategy,
+    /// The consolidator the most recent blocked-ER consolidation stage
+    /// grouped with, and the configuration it was built from — resident
+    /// state [`crate::DataTamer::consolidate_delta`] adopts instead of
+    /// repeating the stage's ER over the same corpus. `None` after any
+    /// other grouping and once taken.
+    pub(crate) handoff: Option<Handoff>,
     runs: Vec<StageRun>,
 }
 
@@ -232,6 +239,7 @@ impl PipelineContext {
             fused: Vec::new(),
             fused_revision: 0,
             fused_changed: None,
+            handoff: None,
             runs: Vec::new(),
         }
     }
@@ -601,6 +609,10 @@ impl PipelineStage for CleaningStage {
 /// default, reading the context's strategy-in-effect
 /// ([`PipelineContext::grouping`]) at run time — mirroring
 /// [`FusionStage`]'s relationship to the resolver routing.
+///
+/// Under blocked ER the stage's [`datatamer_entity::IncrementalConsolidator`]
+/// stays in the context, tagged with its configuration, until the next
+/// [`crate::DataTamer::consolidate_delta`] takes it.
 #[derive(Default)]
 pub struct EntityConsolidationStage {
     mode: Option<ConsolidationMode>,
@@ -640,15 +652,19 @@ impl PipelineStage for EntityConsolidationStage {
         input.extend(ctx.text_show_records.iter().cloned());
 
         let threshold = ctx.config().fusion_threshold;
-        let (groups, blocking) = match &self.mode {
+        // Blocked ER leaves its consolidator behind for the delta path to
+        // adopt. An earlier run's goes first, so at most one is resident.
+        ctx.handoff = None;
+        let (groups, blocking, handoff) = match &self.mode {
             Some(ConsolidationMode::Policy(policy)) => {
-                (group_records(&input, policy), GroupingReport::default())
+                (group_records(&input, policy), GroupingReport::default(), None)
             }
             Some(ConsolidationMode::Strategy(strategy)) => {
-                strategy.groups_with_report(&input, threshold)
+                strategy.groups_keeping_consolidator(&input, threshold)
             }
-            None => ctx.grouping.groups_with_report(&input, threshold),
+            None => ctx.grouping.groups_keeping_consolidator(&input, threshold),
         };
+        ctx.handoff = handoff;
 
         let multi = groups.iter().filter(|(_, m)| m.len() > 1).count();
         let largest = groups.iter().map(|(_, m)| m.len()).max().unwrap_or(0);

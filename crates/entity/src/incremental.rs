@@ -60,9 +60,13 @@
 //! zero; the [`DeltaReport`] occupancy and eviction counters expose the
 //! cost shift.
 //!
-//! The batch pipeline stays the oracle: `tests/incremental_equivalence.rs`
-//! pins incremental-vs-full byte equality over random corpora, random
-//! batch splits, serial and 8-thread pools.
+//! The batch primitives stay the oracle:
+//! `stage_matches_the_batch_primitive_reference` in
+//! `tests/blocked_consolidation.rs` pins a one-shot ingest byte-equal to
+//! keyed blocking → prepare → accepted pairs → `cluster_pairs` over random
+//! corpora, strategies and fallbacks, and `tests/incremental_equivalence.rs`
+//! pins any prefix + delta split byte-equal to that one-shot run — both at
+//! serial and 8-thread pools.
 
 use std::collections::HashMap;
 
@@ -132,9 +136,10 @@ pub struct DeltaReport {
 
 /// Entity resolution with resident state: feed record batches with
 /// [`IncrementalConsolidator::ingest`], read the clusters (and which ones
-/// changed) after each. Configuration mirrors the batch path — same
+/// changed) after each. Configuration mirrors the batch primitives — same
 /// [`Blocker`], same [`PairScorer`], same threshold — and the final
-/// clusters are byte-identical to one batch run over the concatenation.
+/// clusters are byte-identical to composing those primitives over the
+/// concatenation.
 #[derive(Debug, Clone)]
 pub struct IncrementalConsolidator {
     blocker: Blocker,
@@ -191,7 +196,7 @@ pub struct IncrementalConsolidator {
 
 impl IncrementalConsolidator {
     /// An empty consolidator; `threshold` is the pair-acceptance score
-    /// bound, as in the batch path.
+    /// bound, as in [`ScoringContext::accepted_pairs`].
     pub fn new(blocker: Blocker, scorer: PairScorer, threshold: f64) -> Self {
         let ctx = scorer.prepare(&[]);
         let lsh = match blocker.strategy {

@@ -19,18 +19,21 @@
 //!   the millions of candidate pairs scores allocation-free.
 //! * [`cluster`] — union-find clustering of accepted pairs.
 //! * [`consolidate`] — composite-record merge with conflict resolution.
-//! * [`pipeline`] — the end-to-end consolidation pipeline with statistics.
-//! * [`incremental`] — delta ER with resident blocking indices, scoring
-//!   context, score memo, and persistent union-find: ingest scales with
-//!   the batch, not the corpus, while clusters stay byte-identical to a
-//!   from-scratch run.
+//! * [`incremental`] — the blocked-ER engine: resident blocking indices,
+//!   scoring context, score memo, and persistent union-find. One batch
+//!   consolidates a whole corpus; later batches cost O(delta), while
+//!   clusters stay byte-identical to a from-scratch run.
+//!
+//! The batch primitives — [`Blocker::candidates_with_report_keyed`],
+//! [`PairScorer::prepare`], [`ScoringContext::accepted_pairs`] and
+//! [`cluster::cluster_pairs`] — stay public as the reference oracle the
+//! engine is tested against.
 
 pub mod blocking;
 pub mod cluster;
 pub mod consolidate;
 pub mod incremental;
 pub mod pairsim;
-pub mod pipeline;
 
 pub use blocking::{
     blocking_recall, Blocker, BlockingOutcome, BlockingStrategy, OversizeFallback,
@@ -43,4 +46,3 @@ pub use pairsim::{
     accepted_pairs, accepted_pairs_prepared, score_pairs, score_pairs_prepared, PairScorer,
     PrepareStats, RecordSimilarity, ScoringContext,
 };
-pub use pipeline::{ConsolidationPipeline, ConsolidationResult, PipelineConfig};

@@ -1,6 +1,6 @@
 //! Property tests for entity consolidation: union-find matches a naive
 //! transitive closure, cluster merges preserve attribute coverage, the
-//! pipeline never invents or loses records, and blocking holds its output
+//! blocked-ER engine never invents or loses records, and blocking holds its output
 //! invariants (sorted, deduplicated, ordered pairs; progressive recall
 //! dominating the truncating cap) for every strategy.
 
@@ -11,7 +11,8 @@ use datatamer_entity::blocking::{
 };
 use datatamer_entity::cluster::{cluster_pairs, UnionFind};
 use datatamer_entity::consolidate::{merge_cluster, MergePolicy};
-use datatamer_entity::pipeline::{ConsolidationPipeline, PipelineConfig};
+use datatamer_entity::incremental::IncrementalConsolidator;
+use datatamer_entity::pairsim::{PairScorer, RecordSimilarity};
 use datatamer_model::{Record, RecordId, SourceId, Value};
 
 /// Records with a `name` attribute from generated strings.
@@ -261,20 +262,41 @@ proptest! {
                 )
             })
             .collect();
-        let pipeline = ConsolidationPipeline::new(PipelineConfig::rules_default("name"));
-        let result = pipeline.run(&records);
+        let mut inc = IncrementalConsolidator::new(
+            Blocker::new("name", BlockingStrategy::Token),
+            PairScorer::Rules(RecordSimilarity::default()),
+            0.75,
+        );
+        inc.ingest(&records);
+        let clusters = inc.clusters();
+        let composites: Vec<Record> = clusters
+            .iter()
+            .map(|c| {
+                let members: Vec<&Record> = c.iter().map(|&i| &records[i]).collect();
+                merge_cluster(&members, &MergePolicy::default())
+            })
+            .collect();
         // Clusters partition 0..n.
-        let mut all: Vec<usize> = result.clusters.iter().flatten().copied().collect();
+        let mut all: Vec<usize> = clusters.iter().flatten().copied().collect();
         all.sort_unstable();
         let expected: Vec<usize> = (0..records.len()).collect();
         prop_assert_eq!(all, expected);
-        prop_assert_eq!(result.composites.len(), result.clusters.len());
+        // One composite per cluster, carrying one of its members' names.
+        prop_assert_eq!(composites.len(), clusters.len());
+        for (cluster, composite) in clusters.iter().zip(&composites) {
+            let name = composite.get_text("name");
+            prop_assert!(
+                cluster.iter().any(|&i| name.as_deref() == Some(names[i].as_str())),
+                "composite name {:?} is no member's",
+                name
+            );
+        }
         // Identical names always cluster together (token blocking + score 1).
         for (i, a) in names.iter().enumerate() {
             for (j, b) in names.iter().enumerate().skip(i + 1) {
                 if a == b {
-                    let ca = result.clusters.iter().position(|c| c.contains(&i));
-                    let cb = result.clusters.iter().position(|c| c.contains(&j));
+                    let ca = clusters.iter().position(|c| c.contains(&i));
+                    let cb = clusters.iter().position(|c| c.contains(&j));
                     prop_assert_eq!(ca, cb, "identical names split: {}", a);
                 }
             }

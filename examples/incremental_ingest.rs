@@ -18,10 +18,7 @@ fn show(id: u64, name: &str, price: &str) -> Record {
 
 fn config() -> DataTamerConfig {
     DataTamerConfig {
-        grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
-            ..Default::default()
-        }),
+        grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
         ..Default::default()
     }
 }

@@ -12,8 +12,7 @@
 
 use datatamer::corpus::truth::{labeled_pairs, labeled_pairs_with, PairDifficulty, DEDUP_EVAL_TYPES};
 use datatamer::entity::blocking::BlockingStrategy;
-use datatamer::entity::pipeline::{ConsolidationPipeline, PipelineConfig};
-use datatamer::entity::{Blocker, PairScorer};
+use datatamer::entity::{merge_cluster, Blocker, IncrementalConsolidator, MergePolicy, PairScorer};
 use datatamer::ml::dedup::{crossval_dedup, DedupClassifier};
 use datatamer::ml::logreg::LogRegConfig;
 use datatamer::model::{Record, RecordId, SourceId, Value};
@@ -62,23 +61,27 @@ fn main() {
             )
         })
         .collect();
-    let pipeline = ConsolidationPipeline::new(PipelineConfig {
-        blocker: Blocker::new("name", BlockingStrategy::Soundex),
-        scorer: PairScorer::Classifier { key_attr: "name".into(), model },
-        accept_threshold: 0.5,
-        merge: Default::default(),
-    });
-    let result = pipeline.run(&records);
+    let mut consolidator = IncrementalConsolidator::new(
+        Blocker::new("name", BlockingStrategy::Soundex),
+        PairScorer::Classifier { key_attr: "name".into(), model },
+        0.5,
+    );
+    let report = consolidator.ingest(&records);
+    let n = records.len();
+    let all_pairs = n * n.saturating_sub(1) / 2;
+    let saved = 1.0 - report.candidate_pairs as f64 / all_pairs.max(1) as f64;
     println!(
         "\nconsolidated {} dirty person records into {} entities \
          ({} candidate pairs from blocking, {:.0}% of all-pairs work avoided):",
-        records.len(),
-        result.clusters.len(),
-        result.candidate_pairs,
-        result.comparisons_saved() * 100.0
+        n,
+        consolidator.clusters().len(),
+        report.candidate_pairs,
+        saved * 100.0
     );
-    for (cluster, composite) in result.clusters.iter().zip(&result.composites) {
-        let members: Vec<&str> = cluster.iter().map(|&i| dirty[i]).collect();
-        println!("  {members:?} -> \"{}\"", composite.get_text("name").unwrap_or_default());
+    for cluster in consolidator.clusters() {
+        let members: Vec<&Record> = cluster.iter().map(|&i| &records[i]).collect();
+        let composite = merge_cluster(&members, &MergePolicy::default());
+        let names: Vec<&str> = cluster.iter().map(|&i| dirty[i]).collect();
+        println!("  {names:?} -> \"{}\"", composite.get_text("name").unwrap_or_default());
     }
 }

@@ -344,7 +344,9 @@
 //! every record, re-blocks every bucket, and re-scores every candidate
 //! pair — O(corpus) work for an O(delta) change.
 //! [`core::DataTamer::consolidate_delta`] keeps the expensive state
-//! *resident* instead ([`entity::IncrementalConsolidator`]): the scoring
+//! *resident* instead ([`entity::IncrementalConsolidator`], the engine
+//! the consolidation stage itself runs, so the first delta adopts the
+//! run's consolidator rather than repeating its ER): the scoring
 //! context and blocking indices extend in place (token/attribute interning
 //! is append-only, so features prepared before a growth step stay
 //! bit-identical after it), only buckets the batch touched are probed —
@@ -372,12 +374,10 @@
 //!     )
 //! }
 //!
-//! // Consolidation runs through the resident-state incremental engine.
+//! // The run's consolidation stage builds the resident consolidator that
+//! // the first delta adopts.
 //! let mut dt = DataTamer::new(DataTamerConfig {
-//!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-//!         incremental: true,
-//!         ..Default::default()
-//!     }),
+//!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig::default()),
 //!     ..Default::default()
 //! });
 //! let corpus: Vec<Record> =
@@ -436,7 +436,6 @@
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let config = DataTamerConfig {
 //!     grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-//!         incremental: true,
 //!         memo_budget: Some(64),   // score memo capped at 64 entries
 //!         window_budget: Some(16), // accepted-window pairs capped at 16
 //!         ..Default::default()

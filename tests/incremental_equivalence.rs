@@ -37,7 +37,6 @@ fn config() -> DataTamerConfig {
         extent_size: 64 * 1024,
         shards: 2,
         grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
             ..Default::default()
         }),
         ..Default::default()
@@ -55,7 +54,6 @@ fn config_with(budgets: Budgets, delta_log: Option<DeltaLogConfig>) -> DataTamer
         extent_size: 64 * 1024,
         shards: 2,
         grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
             memo_budget,
             window_budget,
             ..Default::default()

@@ -29,7 +29,6 @@ fn config() -> DataTamerConfig {
         extent_size: 64 * 1024,
         shards: 2,
         grouping: GroupingStrategy::BlockedEr(BlockedErConfig {
-            incremental: true,
             ..Default::default()
         }),
         ..Default::default()
