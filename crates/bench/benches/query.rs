@@ -1,13 +1,13 @@
 //! Query & serving benches: plan cost and serving throughput.
 //!
 //! `query/probe_vs_scan/{4000,12000}` — the same selective predicate
-//! (one GENRE value, 1/40 of the rows) executed three ways over one
-//! snapshot: the planner's hash-probe, a forced columnar scan, and a
-//! forced row-at-a-time full scan. The probe touches only the posting
-//! list, so its cell should be roughly flat across corpus sizes while
-//! both scans grow linearly — that separation is the reason the index
-//! layer exists. All three produce byte-identical results (pinned in
-//! `tests/query_oracle.rs`); these cells price the equivalence.
+//! (one GENRE value, 1/40 of the rows) executed two ways over one
+//! snapshot: the planner's hash-probe and a forced row-parallel full
+//! scan. The probe touches only the posting list, so its cell should be
+//! roughly flat across corpus sizes while the scan grows linearly — that
+//! separation is the reason the index layer exists. Both produce
+//! byte-identical results (pinned in `tests/query_oracle.rs`); these
+//! cells price the equivalence.
 //!
 //! `query/qps/{1,4,8}` — loopback HTTP round-trips per second with 1, 4,
 //! and 8 concurrent client threads, while a background ingest thread
@@ -62,11 +62,7 @@ fn bench_probe_vs_scan(c: &mut Criterion) {
     for &n in &[4000usize, 12000] {
         let snap = CollectionSnapshot::from_entities(entities(n), spec());
         group.throughput(Throughput::Elements(n as u64));
-        for (label, mode) in [
-            ("probe", ScanMode::Auto),
-            ("columnar", ScanMode::Columnar),
-            ("full_scan", ScanMode::FullScan),
-        ] {
+        for (label, mode) in [("probe", ScanMode::Auto), ("full_scan", ScanMode::FullScan)] {
             group.bench_with_input(BenchmarkId::new(label, n), &snap, |b, snap| {
                 b.iter(|| black_box(snap.execute_as(&q, mode).result))
             });

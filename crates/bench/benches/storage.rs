@@ -1,14 +1,15 @@
 //! Storage-engine benches — the substrate behind Tables I and II.
 //!
 //! Measures insert throughput into sharded extents, point reads via packed
-//! doc-ids, indexed vs full-scan query execution, and the group-by powering
-//! Table III.
+//! doc-ids, the group-by powering Table III (index read path vs scan), and
+//! the parallel shard scan. Filtered queries run on the typed AST over
+//! fused entities and are priced in `benches/query.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use datatamer_model::{doc, Value};
-use datatamer_storage::{Collection, CollectionConfig, Filter, IndexSpec, Query};
+use datatamer_storage::{Collection, CollectionConfig, IndexSpec};
 
 fn sample_doc(i: i64) -> datatamer_model::Document {
     doc! {
@@ -71,16 +72,6 @@ fn bench_point_read(c: &mut Criterion) {
     });
 }
 
-fn bench_query_index_vs_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("storage_query_eq");
-    let scan_col = seeded_collection(10_000, false);
-    let idx_col = seeded_collection(10_000, true);
-    let q = Query::filtered(Filter::Eq("type".into(), Value::from("Movie")));
-    group.bench_function("full_scan", |b| b.iter(|| black_box(q.execute(&scan_col)).unwrap().len()));
-    group.bench_function("indexed", |b| b.iter(|| black_box(q.execute(&idx_col)).unwrap().len()));
-    group.finish();
-}
-
 fn bench_count_by(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage_count_by_type");
     let scan_col = seeded_collection(20_000, false);
@@ -104,7 +95,6 @@ fn bench_parallel_scan(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_insert, bench_point_read, bench_query_index_vs_scan, bench_count_by,
-        bench_parallel_scan
+    targets = bench_insert, bench_point_read, bench_count_by, bench_parallel_scan
 );
 criterion_main!(benches);

@@ -7,7 +7,8 @@
 //!
 //! Experiment ids (DESIGN.md §4): t1 t2 t3 t4 t5 t6 f1 f2 f3 m1 m2, or
 //! `all`. Options: `--scale <f64>` (fraction of paper volume, default
-//! 1/5000), `--seed <u64>`.
+//! 1/5000), `--seed <u64>`. An unknown id, or a missing or unparsable
+//! option value, prints a usage error on stderr and exits with status 2.
 
 use std::collections::HashSet;
 
@@ -19,33 +20,56 @@ use datatamer_bench::{
 };
 use datatamer_corpus::ftables::{self, FtablesConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Every experiment id the binary knows, in print order.
+const EXPERIMENTS: [&str; 11] = ["t1", "t2", "t3", "t4", "t5", "t6", "f1", "f2", "f3", "m1", "m2"];
+
+const USAGE: &str = "usage: tables [all | t1..t6 | f1..f3 | m1 | m2]... [--scale <f64>] [--seed <u64>]";
+
+/// Parse the command line into the wanted experiment ids (all of them when
+/// none or `all` is named) and the harness config.
+fn parse_args(args: &[String]) -> Result<(HashSet<String>, HarnessConfig), String> {
     let mut wanted: HashSet<String> = HashSet::new();
     let mut config = HarnessConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--scale" => {
-                i += 1;
-                config.scale = args[i].parse().expect("--scale takes a float");
+                let v = args.next().ok_or("--scale needs a value")?;
+                config.scale = v
+                    .parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("--scale takes a positive float, got {v:?}"))?;
             }
             "--seed" => {
-                i += 1;
-                config.seed = args[i].parse().expect("--seed takes an integer");
+                let v = args.next().ok_or("--seed needs a value")?;
+                config.seed =
+                    v.parse().map_err(|_| format!("--seed takes an integer, got {v:?}"))?;
             }
             id => {
-                wanted.insert(id.to_lowercase());
+                let id = id.to_lowercase();
+                if id != "all" && !EXPERIMENTS.contains(&id.as_str()) {
+                    return Err(format!("unknown experiment id {id:?}"));
+                }
+                wanted.insert(id);
             }
         }
-        i += 1;
     }
     if wanted.is_empty() || wanted.contains("all") {
-        wanted = ["t1", "t2", "t3", "t4", "t5", "t6", "f1", "f2", "f3", "m1", "m2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        wanted = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
+    Ok((wanted, config))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (wanted, config) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("tables: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     println!("# Data Tamer reproduction — paper tables & figures");
     println!(

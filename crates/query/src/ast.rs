@@ -1,17 +1,16 @@
 //! The typed query AST: predicates, aggregates, and the [`Query`] struct.
 //!
-//! One predicate language serves every execution surface — index probes,
-//! columnar scans, and full entity scans — so a query means the same thing
-//! no matter which plan runs it. Equality and ordering are *canonical*: values compare by
+//! One predicate language serves every execution surface — index probes
+//! and full entity scans — so a query means the same thing no matter which
+//! plan runs it. Equality and ordering are *canonical*: values compare by
 //! [`Value::total_cmp`], so `Int(3)` matches `Eq(attr, Float(3.0))` and
 //! NaN equals itself, exactly the semantics the index keys
 //! ([`crate::key::AttrKey`]) use — an index probe can therefore never
 //! return fewer rows than the predicate accepts. Ordering predicates only
-//! match within a type family (numbers, strings, booleans), mirroring the
-//! storage engine's filter semantics.
+//! match within a type family (numbers, strings, booleans).
 
 use datatamer_core::fusion::FusedEntity;
-use datatamer_model::{Document, Value};
+use datatamer_model::Value;
 use std::cmp::Ordering;
 
 /// Pseudo-attribute resolving to a fused entity's canonical key.
@@ -52,77 +51,23 @@ pub enum Predicate {
     Not(Box<Predicate>),
 }
 
-/// A source of attribute values: fused entities, documents, columnar rows.
-///
-/// `attr_values` pushes every value reachable at `attr` — array values
-/// contribute each element (multikey), scalars contribute themselves.
-pub trait AttrSource {
-    /// Append the values at `attr` to `out` (cleared by the caller).
-    fn attr_values(&self, attr: &str, out: &mut Vec<Value>);
-}
-
-/// Flatten one level of arrays into leaf values, matching the storage
-/// engine's multikey semantics.
-pub fn push_leaves(v: &Value, out: &mut Vec<Value>) {
-    match v {
-        Value::Array(items) => out.extend(items.iter().cloned()),
-        other => out.push(other.clone()),
-    }
-}
-
-impl AttrSource for FusedEntity {
-    fn attr_values(&self, attr: &str, out: &mut Vec<Value>) {
-        match attr {
-            KEY_ATTR => out.push(Value::Str(self.key.clone())),
-            MEMBERS_ATTR => out.push(Value::Int(self.member_count as i64)),
-            CONFIDENCE_ATTR => out.push(match self.confidence {
-                Some(c) => Value::Float(c),
-                None => Value::Null,
-            }),
-            _ => {
-                if let Some(v) = self.record.get(attr) {
-                    push_leaves(v, out);
-                }
-            }
-        }
-    }
-}
-
-impl AttrSource for Document {
-    /// Dotted-path, multikey resolution matching the storage engine's
-    /// filter semantics: `a.b` descends nested documents, arrays are
-    /// traversed element-wise (with numeric segments as positional
-    /// indexes), and a terminal array contributes each element.
-    fn attr_values(&self, attr: &str, out: &mut Vec<Value>) {
-        fn walk(v: &Value, segs: &[&str], out: &mut Vec<Value>) {
-            let Some((seg, rest)) = segs.split_first() else {
-                push_leaves(v, out);
-                return;
-            };
-            match v {
-                Value::Doc(d) => {
-                    if let Some(inner) = d.get(seg) {
-                        walk(inner, rest, out);
-                    }
-                }
-                Value::Array(items) => {
-                    if let Ok(i) = seg.parse::<usize>() {
-                        if let Some(item) = items.get(i) {
-                            walk(item, rest, out);
-                        }
-                    } else {
-                        for item in items {
-                            walk(item, segs, out);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let segs: Vec<&str> = attr.split('.').collect();
-        if let Some(first) = segs.first().and_then(|s| self.get(s)) {
-            walk(first, &segs[1..], out);
-        }
+/// Append every value `e` carries at `attr` to `out`: the `_key` /
+/// `_members` / `_confidence` pseudo-attributes resolve to the entity's
+/// own fields, and a record attribute holding an array contributes each
+/// element (multikey), a scalar itself.
+pub(crate) fn attr_values(e: &FusedEntity, attr: &str, out: &mut Vec<Value>) {
+    match attr {
+        KEY_ATTR => out.push(Value::Str(e.key.clone())),
+        MEMBERS_ATTR => out.push(Value::Int(e.member_count as i64)),
+        CONFIDENCE_ATTR => out.push(match e.confidence {
+            Some(c) => Value::Float(c),
+            None => Value::Null,
+        }),
+        _ => match e.record.get(attr) {
+            Some(Value::Array(items)) => out.extend(items.iter().cloned()),
+            Some(other) => out.push(other.clone()),
+            None => {}
+        },
     }
 }
 
@@ -138,16 +83,16 @@ fn same_family(a: &Value, b: &Value) -> bool {
 }
 
 impl Predicate {
-    /// Evaluate against a row.
-    pub fn matches<S: AttrSource + ?Sized>(&self, src: &S) -> bool {
+    /// Evaluate against a fused entity.
+    pub fn matches(&self, e: &FusedEntity) -> bool {
         let mut scratch = Vec::new();
-        self.matches_with(src, &mut scratch)
+        self.matches_with(e, &mut scratch)
     }
 
-    fn matches_with<S: AttrSource + ?Sized>(&self, src: &S, scratch: &mut Vec<Value>) -> bool {
+    fn matches_with(&self, e: &FusedEntity, scratch: &mut Vec<Value>) -> bool {
         let vals = |attr: &str, scratch: &mut Vec<Value>| {
             scratch.clear();
-            src.attr_values(attr, scratch);
+            attr_values(e, attr, scratch);
         };
         match self {
             Predicate::True => true,
@@ -193,9 +138,9 @@ impl Predicate {
                 vals(attr, scratch);
                 scratch.iter().any(|v| !v.is_null())
             }
-            Predicate::And(ps) => ps.iter().all(|p| p.matches(src)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.matches(src)),
-            Predicate::Not(p) => !p.matches(src),
+            Predicate::And(ps) => ps.iter().all(|p| p.matches(e)),
+            Predicate::Or(ps) => ps.iter().any(|p| p.matches(e)),
+            Predicate::Not(p) => !p.matches(e),
         }
     }
 
@@ -357,7 +302,7 @@ pub enum QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datatamer_model::{doc, Record, RecordId, SourceId};
+    use datatamer_model::{Record, RecordId, SourceId};
 
     fn entity(name: &str, price: i64, kind: &str) -> FusedEntity {
         FusedEntity {
@@ -402,18 +347,6 @@ mod tests {
         ]);
         assert!(p.matches(&e));
         assert!(!Predicate::Not(Box::new(p)).matches(&e));
-    }
-
-    #[test]
-    fn document_paths_are_dotted_and_multikey() {
-        let d = doc! {
-            "entities" => Value::Array(vec![
-                Value::Doc(doc! {"type" => "Movie"}),
-                Value::Doc(doc! {"type" => "City"}),
-            ])
-        };
-        assert!(Predicate::Eq("entities.type".into(), "Movie".into()).matches(&d));
-        assert!(!Predicate::Eq("entities.type".into(), "Person".into()).matches(&d));
     }
 
     #[test]

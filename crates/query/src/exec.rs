@@ -2,8 +2,8 @@
 //!
 //! The planner picks, in order: a **hash probe** (an equality/`In`
 //! conjunct on a hash-indexed attribute), an **ordered probe** (a
-//! comparison conjunct on an ordered-indexed attribute), or a
-//! **columnar scan**; [`ScanMode`] can force the scan paths. Probes only
+//! comparison conjunct on an ordered-indexed attribute), or a **full
+//! scan** over the entities; [`ScanMode`] can force the scan. Probes only
 //! ever produce a candidate *superset* — every candidate is re-checked
 //! against the full predicate — so plan choice can change work done but
 //! never results.
@@ -24,21 +24,18 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use crate::ast::{
-    Aggregate, AttrSource, Order, Predicate, Query, QueryResult, Row, CONFIDENCE_ATTR, KEY_ATTR,
+    attr_values, Aggregate, Order, Predicate, Query, QueryResult, Row, CONFIDENCE_ATTR, KEY_ATTR,
     MEMBERS_ATTR,
 };
-use crate::columnar::Columnar;
 use crate::index::{EntityIndexes, IndexMaintenance};
 use crate::key::AttrKey;
 
 /// How [`CollectionSnapshot::execute_as`] is allowed to plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
-    /// Planner's choice: index probe when possible, else columnar scan.
+    /// Planner's choice: index probe when possible, else full scan.
     Auto,
-    /// Force a columnar scan (no index probes).
-    Columnar,
-    /// Force a full scan over the fused entities themselves.
+    /// Force a full scan over the fused entities (no index probes).
     FullScan,
 }
 
@@ -49,8 +46,6 @@ pub enum PlanKind {
     HashProbe,
     /// Candidates from an ordered-index range probe.
     OrderedProbe,
-    /// Row-parallel scan over the columnar projection.
-    ColumnarScan,
     /// Row-parallel scan over the fused entities.
     FullScan,
 }
@@ -61,7 +56,6 @@ impl PlanKind {
         match self {
             PlanKind::HashProbe => "hash_probe",
             PlanKind::OrderedProbe => "ordered_probe",
-            PlanKind::ColumnarScan => "columnar_scan",
             PlanKind::FullScan => "full_scan",
         }
     }
@@ -92,8 +86,7 @@ pub struct SnapshotStats {
 }
 
 /// An immutable, query-ready copy of a collection: entities + secondary
-/// indexes + columnar projection. Cheap to share behind an `Arc`; readers
-/// never block ingest.
+/// indexes. Cheap to share behind an `Arc`; readers never block ingest.
 #[derive(Debug, Clone)]
 pub struct CollectionSnapshot {
     entities: Vec<FusedEntity>,
@@ -101,12 +94,11 @@ pub struct CollectionSnapshot {
     /// cluster id → row position; probed only, never iterated.
     pos: HashMap<usize, u32, FnvBuildHasher>,
     indexes: EntityIndexes,
-    columns: Columnar,
     stats: SnapshotStats,
 }
 
 impl CollectionSnapshot {
-    /// Assemble from view parts, building the columnar projection.
+    /// Assemble from view parts.
     pub(crate) fn assemble(
         entities: Vec<FusedEntity>,
         cluster_ids: Vec<usize>,
@@ -114,8 +106,7 @@ impl CollectionSnapshot {
         indexes: EntityIndexes,
         stats: SnapshotStats,
     ) -> Self {
-        let columns = Columnar::build(&entities);
-        CollectionSnapshot { entities, cluster_ids, pos, indexes, columns, stats }
+        CollectionSnapshot { entities, cluster_ids, pos, indexes, stats }
     }
 
     /// A snapshot straight from entities, with default point-lookup
@@ -141,11 +132,6 @@ impl CollectionSnapshot {
     /// The secondary indexes.
     pub fn indexes(&self) -> &EntityIndexes {
         &self.indexes
-    }
-
-    /// The columnar projection.
-    pub fn columnar(&self) -> &Columnar {
-        &self.columns
     }
 
     /// Snapshot stats.
@@ -176,20 +162,8 @@ impl CollectionSnapshot {
 
     /// Execute under an explicit scan mode.
     pub fn execute_as(&self, q: &Query, mode: ScanMode) -> Executed {
-        let n = self.entities.len();
         match mode {
-            ScanMode::FullScan => {
-                let positions: Vec<usize> = (0..n)
-                    .into_par_iter()
-                    .filter(|&i| q.filter.matches(&self.entities[i]))
-                    .collect();
-                Executed {
-                    result: finish(q, &positions, &self.entities),
-                    plan: PlanKind::FullScan,
-                    candidates: n,
-                }
-            }
-            ScanMode::Columnar => self.columnar_scan(q, n),
+            ScanMode::FullScan => self.full_scan(q),
             ScanMode::Auto => match self.plan_probe(&q.filter) {
                 Some((plan, cids)) => {
                     // Translate stable cluster ids to row positions, then
@@ -205,19 +179,20 @@ impl CollectionSnapshot {
                     rows.retain(|&i| q.filter.matches(&self.entities[i]));
                     Executed { result: finish(q, &rows, &self.entities), plan, candidates }
                 }
-                None => self.columnar_scan(q, n),
+                None => self.full_scan(q),
             },
         }
     }
 
-    fn columnar_scan(&self, q: &Query, n: usize) -> Executed {
+    fn full_scan(&self, q: &Query) -> Executed {
+        let n = self.entities.len();
         let positions: Vec<usize> = (0..n)
             .into_par_iter()
-            .filter(|&i| q.filter.matches(&self.columns.row(i)))
+            .filter(|&i| q.filter.matches(&self.entities[i]))
             .collect();
         Executed {
             result: finish(q, &positions, &self.entities),
-            plan: PlanKind::ColumnarScan,
+            plan: PlanKind::FullScan,
             candidates: n,
         }
     }
@@ -312,7 +287,7 @@ fn cmp_opt(a: &Option<Value>, b: &Option<Value>) -> Ordering {
 
 fn first_value(e: &FusedEntity, attr: &str) -> Option<Value> {
     let mut vals = Vec::new();
-    e.attr_values(attr, &mut vals);
+    attr_values(e, attr, &mut vals);
     vals.into_iter().next()
 }
 
@@ -350,7 +325,7 @@ fn aggregate(agg: &Aggregate, positions: &[usize], entities: &[FusedEntity]) -> 
             let mut nums: Vec<Value> = Vec::new();
             for &i in positions {
                 vals.clear();
-                entities[i].attr_values(attr, &mut vals);
+                attr_values(&entities[i], attr, &mut vals);
                 nums.extend(
                     vals.drain(..).filter(|v| matches!(v, Value::Int(_) | Value::Float(_))),
                 );
@@ -383,7 +358,7 @@ fn aggregate(agg: &Aggregate, positions: &[usize], entities: &[FusedEntity]) -> 
             let mut best: Option<Value> = None;
             for &i in positions {
                 vals.clear();
-                entities[i].attr_values(attr, &mut vals);
+                attr_values(&entities[i], attr, &mut vals);
                 for v in vals.drain(..) {
                     if v.is_null() {
                         continue;
@@ -411,7 +386,7 @@ fn aggregate(agg: &Aggregate, positions: &[usize], entities: &[FusedEntity]) -> 
             let mut groups: BTreeMap<AttrKey, u64> = BTreeMap::new();
             for &i in positions {
                 vals.clear();
-                entities[i].attr_values(attr, &mut vals);
+                attr_values(&entities[i], attr, &mut vals);
                 for v in vals.drain(..) {
                     *groups.entry(AttrKey(v)).or_insert(0) += 1;
                 }
@@ -467,11 +442,10 @@ mod tests {
         let auto = s.execute(&q);
         assert_eq!(auto.plan, PlanKind::HashProbe);
         assert_eq!(auto.candidates, 2);
-        let col = s.execute_as(&q, ScanMode::Columnar);
         let full = s.execute_as(&q, ScanMode::FullScan);
+        assert_eq!(full.plan, PlanKind::FullScan);
         let oracle = execute_oracle(s.entities(), &q);
         assert_eq!(auto.result, oracle);
-        assert_eq!(col.result, oracle);
         assert_eq!(full.result, oracle);
         assert_eq!(rows_keys(&oracle), vec!["a", "c"]);
     }
@@ -519,11 +493,12 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_filters_fall_back_to_columnar() {
+    fn unindexed_filters_fall_back_to_full_scan() {
         let s = snap();
         let q = Query::filtered(Predicate::Contains("KIND".into(), "usic".into()));
         let run = s.execute(&q);
-        assert_eq!(run.plan, PlanKind::ColumnarScan);
+        assert_eq!(run.plan, PlanKind::FullScan);
+        assert_eq!(run.candidates, 4);
         assert_eq!(run.result, execute_oracle(s.entities(), &q));
     }
 }

@@ -20,7 +20,7 @@
 //! ops `>=` `<=` `!=` `==` `=` `~=` (contains) `>` `<`, plus `has:attr`),
 //! `project` (comma-separated attrs), `order` (`attr` or `attr:desc`),
 //! `limit`, `agg` (`count` | `sum:attr` | `min:attr` | `max:attr` |
-//! `group:attr`), `mode` (`auto` | `columnar` | `full`). Values parse as
+//! `group:attr`), `mode` (`auto` | `full`). Values parse as
 //! JSON-ish scalars (`null`, booleans, numbers, else strings; quotes
 //! optional). Responses are `application/json`, rendered with a
 //! deterministic serializer so equal results are byte-equal bodies.
@@ -184,13 +184,18 @@ fn serve_connection(mut stream: TcpStream, views: &SharedViews, cfg: &ServerConf
             Err(_) => break,
         }
     }
-    let response = match parse_request(&buf) {
+    let _ = stream.write_all(&respond(&buf, views));
+    let _ = stream.flush();
+}
+
+/// The full response to the raw request bytes `buf`. Total: any input
+/// yields a response whose status is 200, 400, 404 or 405.
+fn respond(buf: &[u8], views: &SharedViews) -> Vec<u8> {
+    match parse_request(buf) {
         Some((method, target)) if method == "GET" => route(&target, views),
         Some(_) => error_response(405, "only GET is supported"),
         None => error_response(400, "malformed request"),
-    };
-    let _ = stream.write_all(&response);
-    let _ = stream.flush();
+    }
 }
 
 /// Extract `(method, target)` from the request line.
@@ -390,7 +395,6 @@ fn parse_query(qs: &str) -> Result<(Query, ScanMode), String> {
             "mode" => {
                 mode = match v.as_str() {
                     "auto" => ScanMode::Auto,
-                    "columnar" => ScanMode::Columnar,
                     "full" => ScanMode::FullScan,
                     other => return Err(format!("bad mode {other:?}")),
                 };
@@ -561,6 +565,118 @@ fn error_response(status: u16, message: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datatamer_core::fusion::FusedEntity;
+    use datatamer_model::{Record, RecordId, SourceId};
+    use proptest::prelude::*;
+
+    /// A published collection `shows` whose rows mix ints, floats (NaN
+    /// included), strings and arrays, hash-indexed on `KIND` and
+    /// range-indexed on `PRICE`, so routed queries reach every plan.
+    fn views() -> SharedViews {
+        let entities: Vec<FusedEntity> = (0..12u64)
+            .map(|i| FusedEntity {
+                key: format!("show{i}"),
+                record: Record::from_pairs(
+                    SourceId(0),
+                    RecordId(i),
+                    vec![
+                        ("PRICE", Value::Int(i as i64 * 10 - 30)),
+                        ("KIND", Value::from(["musical", "play", "opera"][i as usize % 3])),
+                        ("RATING", Value::Float(if i == 5 { f64::NAN } else { i as f64 / 4.0 })),
+                        ("TAGS", Value::Array(vec![Value::from("a"), Value::Int(i as i64)])),
+                    ],
+                ),
+                member_count: 1 + i as usize % 2,
+                confidence: (i % 2 == 0).then_some(0.5),
+            })
+            .collect();
+        let views = SharedViews::new();
+        views.publish(
+            "shows",
+            CollectionSnapshot::from_entities(
+                entities,
+                crate::view::IndexSpec::default().hash_on("KIND").ordered_on("PRICE"),
+            ),
+        );
+        views
+    }
+
+    /// Pieces of request targets: route segments, parameter names and
+    /// values, operators, and percent escapes (valid and broken).
+    const TARGET_PIECES: &[&str] = &[
+        "/", "collections", "shows", "nope", "stats", "entity", "show3", "query", "?", "&",
+        "=", ",", ":", "where=", "project=", "order=", "limit=", "agg=", "mode=", "PRICE",
+        "KIND", "RATING", "TAGS", "_key", "_members", "_confidence", ">", ">=", "<", "<=",
+        "!=", "==", "~=", "has:", "desc", "asc", "count", "sum:", "min:", "max:", "group:",
+        "auto", "full", "columnar", "10", "-1", "2.5", "1e400", "NaN", "null", "true",
+        "musical", "\"", "'", "%", "%2", "%3D", "%26", "%ff", "%C3%A9", "+", "é", "..",
+        "18446744073709551616",
+    ];
+
+    fn target() -> impl Strategy<Value = String> {
+        prop_oneof![
+            prop::collection::vec(0..TARGET_PIECES.len(), 0..24)
+                .prop_map(|ix| ix.into_iter().map(|i| TARGET_PIECES[i]).collect::<String>()),
+            ".{0,64}",
+        ]
+    }
+
+    fn status_of(response: &[u8]) -> Option<u16> {
+        let rest = response.strip_prefix(b"HTTP/1.1 ")?;
+        std::str::from_utf8(rest.get(..3)?).ok()?.parse().ok()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_get_a_status_line(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            let views = views();
+            let response = respond(&bytes, &views);
+            let status = status_of(&response);
+            prop_assert!(
+                matches!(status, Some(200 | 400 | 404 | 405)),
+                "bad status line: {:?}",
+                String::from_utf8_lossy(&response[..response.len().min(40)])
+            );
+        }
+
+        #[test]
+        fn arbitrary_targets_route_to_a_status(
+            target in target(),
+            method in prop_oneof![Just("GET"), Just("POST")],
+        ) {
+            let views = views();
+            let status = status_of(&route(&target, &views));
+            prop_assert!(matches!(status, Some(200 | 400 | 404)), "{:?} -> {:?}", target, status);
+            let request = format!("{method} {target} HTTP/1.1\r\nHost: t\r\n\r\n");
+            let status = status_of(&respond(request.as_bytes(), &views));
+            prop_assert!(
+                matches!(status, Some(200 | 400 | 404 | 405)),
+                "{:?} -> {:?}",
+                request,
+                status
+            );
+        }
+    }
+
+    #[test]
+    fn routes_answer_with_their_status() {
+        let views = views();
+        for (target, want) in [
+            ("/", 200),
+            ("/collections/shows/stats", 200),
+            ("/collections/shows/entity/show3", 200),
+            ("/collections/shows/entity/zz", 404),
+            ("/collections/nope/stats", 404),
+            ("/collections/shows/query?where=PRICE>=10&mode=full", 200),
+            ("/collections/shows/query?mode=columnar", 400),
+        ] {
+            assert_eq!(status_of(&route(target, &views)), Some(want), "{target}");
+        }
+        assert_eq!(status_of(&respond(b"POST / HTTP/1.1\r\n\r\n", &views)), Some(405));
+        assert_eq!(status_of(&respond(b"GET /\r\n\r\n", &views)), Some(400));
+    }
 
     #[test]
     fn operand_and_clause_parsing() {
@@ -584,7 +700,7 @@ mod tests {
     #[test]
     fn query_string_parsing() {
         let (q, mode) =
-            parse_query("where=PRICE>10,KIND=play&order=PRICE:desc&limit=3&mode=columnar")
+            parse_query("where=PRICE>10,KIND=play&order=PRICE:desc&limit=3&mode=full")
                 .unwrap();
         assert_eq!(
             q.filter,
@@ -595,8 +711,9 @@ mod tests {
         );
         assert_eq!(q.order_by, Some(("PRICE".to_string(), Order::Desc)));
         assert_eq!(q.limit, Some(3));
-        assert_eq!(mode, ScanMode::Columnar);
+        assert_eq!(mode, ScanMode::FullScan);
         assert!(parse_query("nope=1").is_err());
+        assert!(parse_query("mode=columnar").is_err(), "columnar mode is gone");
         let (q, _) = parse_query("agg=group:KIND").unwrap();
         assert_eq!(q.aggregate, Some(Aggregate::GroupBy("KIND".into())));
     }

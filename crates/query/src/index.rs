@@ -22,7 +22,7 @@ use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
-use crate::ast::AttrSource;
+use crate::ast::attr_values;
 use crate::key::AttrKey;
 
 /// Counters describing how indexes have been maintained — surfaced on the
@@ -231,14 +231,14 @@ impl EntityIndexes {
         let mut vals = Vec::new();
         for (i, attr) in self.hash_attrs.iter().enumerate() {
             vals.clear();
-            entity.attr_values(attr, &mut vals);
+            attr_values(entity, attr, &mut vals);
             for v in vals.drain(..) {
                 out.push(IndexEntry { family: Family::Hash, idx: i as u32, key: AttrKey(v) });
             }
         }
         for (i, attr) in self.ordered_attrs.iter().enumerate() {
             vals.clear();
-            entity.attr_values(attr, &mut vals);
+            attr_values(entity, attr, &mut vals);
             for v in vals.drain(..) {
                 out.push(IndexEntry { family: Family::Ordered, idx: i as u32, key: AttrKey(v) });
             }

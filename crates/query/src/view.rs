@@ -12,8 +12,8 @@
 //!
 //! [`CollectionView::snapshot`] clones the current state into an immutable
 //! [`CollectionSnapshot`](crate::exec::CollectionSnapshot) (entities +
-//! indexes + a freshly built columnar projection) that readers query
-//! without locks while the view keeps ingesting.
+//! indexes) that readers query without locks while the view keeps
+//! ingesting.
 
 use datatamer_core::fusion::{FusedEntity, FusionGroup};
 use datatamer_sim::FnvBuildHasher;
@@ -163,9 +163,9 @@ impl CollectionView {
         self.revision += 1;
     }
 
-    /// Clone the current state into an immutable snapshot with a freshly
-    /// built columnar projection, tagged with `counters` (storage/delta
-    /// numbers the serving layer wants on its stats endpoint).
+    /// Clone the current state into an immutable snapshot, tagged with
+    /// `counters` (storage/delta numbers the serving layer wants on its
+    /// stats endpoint).
     pub fn snapshot(&self, counters: Vec<(String, u64)>) -> CollectionSnapshot {
         let stats = SnapshotStats {
             entities: self.entities.len(),

@@ -103,24 +103,14 @@ pub trait ShardBackend: Send + Sync {
         encoded.iter().map(|e| self.append(e)).collect()
     }
 
-    /// Decode the live document at `(extent, slot)`, if any. Point reads
-    /// deliberately fold "not live" and "unreadable" into `None` (the
-    /// lookup contract callers already hold); bulk reads ([`Self::visit`])
-    /// surface I/O failure as an error instead, because a silent skip
-    /// there would drop whole extents from scan output.
-    fn get(&self, extent: u32, slot: u32) -> Option<Document>;
-
-    /// Like [`Self::get`], but an unreadable extent is an error instead of
-    /// `None`: `Ok(None)` strictly means "not live". Query paths use this
-    /// so index probes cannot silently drop documents whose extent failed
-    /// to read. The default suits fully resident backends, where reads
-    /// cannot fail.
-    fn try_get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
-        Ok(self.get(extent, slot))
-    }
+    /// Decode the live document at `(extent, slot)`. `Ok(None)` strictly
+    /// means "no live document there"; an unreadable extent is an error,
+    /// exactly as in [`Self::visit`], so an index probe cannot silently
+    /// drop documents whose extent failed to read.
+    fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>>;
 
     /// Tombstone `(extent, slot)`; returns the document when it was live
-    /// (same `None` folding as [`Self::get`] on the read side). A failed
+    /// (an unreadable extent reads as not live here). A failed
     /// tombstone *write-back* is an error — swallowing it would leave the
     /// caller's count/indexes agreeing with neither the old nor the new
     /// on-disk state, and aborting the process (the old behaviour) turns
@@ -285,10 +275,11 @@ impl ShardBackend for MemoryBackend {
             .collect())
     }
 
-    fn get(&self, extent: u32, slot: u32) -> Option<Document> {
+    fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
         let extents = self.extents.read();
-        let slot_read = extents.get(extent as usize)?.get(slot);
-        fold_decode(&self.decode_errors, slot_read)
+        Ok(extents
+            .get(extent as usize)
+            .and_then(|e| fold_decode(&self.decode_errors, e.get(slot))))
     }
 
     fn delete(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
@@ -657,21 +648,7 @@ impl ShardBackend for FileBackend {
         encoded.iter().map(|e| self.append_locked(&mut slots, e)).collect()
     }
 
-    fn get(&self, extent: u32, slot: u32) -> Option<Document> {
-        let slots = self.slots.read();
-        match slots.get(extent as usize)? {
-            ExtentSlot::Loaded(e) => fold_decode(&self.decode_errors, e.get(slot)),
-            ExtentSlot::Flushed(_) => {
-                // Through the cache: a warm extent makes this a map probe
-                // instead of a whole-extent decode; a cold one loads once
-                // and stays resident for the next same-extent read.
-                let shared = self.cached_extent(extent).ok()?;
-                fold_decode(&self.decode_errors, shared.get(slot))
-            }
-        }
-    }
-
-    fn try_get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
+    fn get(&self, extent: u32, slot: u32) -> Result<Option<Document>> {
         let slots = self.slots.read();
         match slots.get(extent as usize) {
             None => Ok(None),
@@ -679,8 +656,11 @@ impl ShardBackend for FileBackend {
                 Ok(fold_decode(&self.decode_errors, e.get(slot)))
             }
             Some(ExtentSlot::Flushed(_)) => {
-                // Unlike `get`, an unreadable extent propagates: the query
-                // layer must distinguish "tombstoned" from "lost an extent".
+                // Through the cache: a warm extent makes this a map probe
+                // instead of a whole-extent decode; a cold one loads once
+                // and stays resident for the next same-extent read. An
+                // unreadable extent propagates, so "tombstoned" and "lost
+                // an extent" stay distinguishable.
                 let shared = self.cached_extent(extent)?;
                 Ok(fold_decode(&self.decode_errors, shared.get(slot)))
             }
@@ -701,11 +681,11 @@ impl ShardBackend for FileBackend {
             Some(ExtentSlot::Flushed(_)) => {
                 // Read-modify-write: the tombstone must reach the file, or
                 // a reopen would resurrect the document. The read side
-                // folds "unreadable" into `None` like `get`; the
-                // write-back surfaces its error — swallowing it would
-                // leave the caller's count/indexes agreeing with neither
-                // the old nor the new on-disk state. The cached copy is
-                // replaced in place so cache and file never disagree.
+                // treats "unreadable" as not live; the write-back surfaces
+                // its error — swallowing it would leave the caller's
+                // count/indexes agreeing with neither the old nor the new
+                // on-disk state. The cached copy is replaced in place so
+                // cache and file never disagree.
                 let Ok(shared) = self.cached_extent(extent) else { return Ok(None) };
                 let Some(doc) = fold_decode(&self.decode_errors, shared.get(slot)) else {
                     return Ok(None);
@@ -973,7 +953,7 @@ mod tests {
         file.sync().unwrap();
         let reopened = FileBackend::open(&dir, 96).unwrap();
         assert_eq!(reopened.len(), 8, "tombstones survive reopen");
-        assert!(reopened.get(fe, fs_).is_none());
+        assert!(reopened.get(fe, fs_).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1093,7 +1073,7 @@ mod tests {
         assert!(first_extent.len() > 1, "need several docs in extent 0");
         for _ in 0..5 {
             for (e, s) in &first_extent {
-                assert!(file.get(*e, *s).is_some());
+                assert!(file.get(*e, *s).unwrap().is_some());
             }
         }
         assert_eq!(
@@ -1104,7 +1084,7 @@ mod tests {
         // Reads spanning every extent still load each at most once.
         for _ in 0..3 {
             for (e, s) in &spots {
-                assert!(file.get(*e, *s).is_some());
+                assert!(file.get(*e, *s).unwrap().is_some());
             }
         }
         assert_eq!(
@@ -1147,6 +1127,9 @@ mod tests {
         let _ = fs::remove_file(dir.join("ext000000.meta"));
         let err = file.visit(&mut |_, _, _| {}).unwrap_err();
         assert!(format!("{err}").contains("extent 0"), "{err}");
+        // The point read agrees with the scan: a torn extent is an error,
+        // never a silent "not live".
+        assert!(file.get(0, 0).is_err(), "point read must surface the torn extent");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -19,7 +19,7 @@ use datatamer_model::{Document, DtError, Result, Value};
 
 use crate::backend::{BackendConfig, FileBackend, MemoryBackend, ShardBackend};
 use crate::coordinator::{ShardCoordinator, StorageReport};
-use crate::index::{Index, IndexSpec};
+use crate::index::{extract_path, Index, IndexKey, IndexSpec};
 use crate::routing::RoutingPolicy;
 use crate::stats::CollectionStats;
 
@@ -217,16 +217,11 @@ impl Collection {
         Ok(ids)
     }
 
-    /// Fetch a document by id.
-    pub fn get(&self, id: DocId) -> Option<Document> {
+    /// Fetch a document by id. An unreadable extent is the error, so an
+    /// index probe cannot silently drop documents on a torn extent;
+    /// `Ok(None)` strictly means "no live document at that id".
+    pub fn get(&self, id: DocId) -> Result<Option<Document>> {
         self.coordinator.get(id)
-    }
-
-    /// Fetch a document by id, surfacing unreadable extents as errors
-    /// instead of folding them into `None`. Query execution uses this so
-    /// an index probe cannot silently drop documents on a torn extent.
-    pub fn try_get(&self, id: DocId) -> Result<Option<Document>> {
-        self.coordinator.try_get(id)
     }
 
     /// Delete a document by id. Returns whether it was live; a failed
@@ -307,18 +302,25 @@ impl Collection {
     }
 
     /// Group-by over a path: `(value, count)` in value order. Uses an index
-    /// on the path when one exists, otherwise a parallel scan.
+    /// on the path when one exists, otherwise a parallel scan; both arms
+    /// resolve the path with the index's multikey walker, so an array
+    /// counts each element and the answer never depends on whether the
+    /// index exists.
     pub fn count_by(&self, path: &str) -> Result<Vec<(Value, u64)>> {
         if let Some(counts) = self.with_index_on_path(path, |idx| {
             idx.key_counts().into_iter().map(|(k, n)| (k, n as u64)).collect::<Vec<_>>()
         }) {
             return Ok(counts);
         }
-        let values = self.parallel_scan(|_, doc| doc.get_path(path).cloned())?;
-        let mut counts: std::collections::BTreeMap<crate::index::IndexKey, u64> =
+        let per_doc = self.parallel_scan(|_, doc| {
+            let mut keys = Vec::new();
+            extract_path(doc, path, &mut keys);
+            (!keys.is_empty()).then_some(keys)
+        })?;
+        let mut counts: std::collections::BTreeMap<IndexKey, u64> =
             std::collections::BTreeMap::new();
-        for v in values {
-            *counts.entry(crate::index::IndexKey(v)).or_insert(0) += 1;
+        for v in per_doc.into_iter().flatten() {
+            *counts.entry(IndexKey(v)).or_insert(0) += 1;
         }
         Ok(counts.into_iter().map(|(k, n)| (k.0, n)).collect())
     }
@@ -427,9 +429,10 @@ mod tests {
         let c = small();
         let d = doc! {"show" => "Matilda", "price" => 27i64};
         let id = c.insert(&d).unwrap();
-        assert_eq!(c.get(id), Some(d));
+        assert_eq!(c.get(id).unwrap(), Some(d));
         assert_eq!(c.len(), 1);
-        assert!(c.get(DocId::pack(0, 9, 9)).is_none());
+        assert!(c.get(DocId::pack(0, 9, 9)).unwrap().is_none());
+        assert!(c.get(DocId::pack(200, 0, 0)).unwrap().is_none(), "no such shard");
     }
 
     #[test]
@@ -452,7 +455,7 @@ mod tests {
         assert!(c.delete(id).unwrap());
         assert!(!c.delete(id).unwrap());
         assert_eq!(c.len(), 0);
-        assert!(c.get(id).is_none());
+        assert!(c.get(id).unwrap().is_none());
     }
 
     #[test]
@@ -501,6 +504,39 @@ mod tests {
     }
 
     #[test]
+    fn count_by_agrees_with_index_on_multikey_paths() {
+        // Both arms must share the index's dotted-path semantics: a
+        // terminal array counts each element, and `a.b` descends every
+        // document of an array.
+        let c = small();
+        let tags = |xs: &[&str]| Value::Array(xs.iter().map(|&x| Value::from(x)).collect());
+        let ents = |types: &[&str]| {
+            Value::Array(types.iter().map(|&t| Value::Doc(doc! {"type" => t})).collect())
+        };
+        c.insert(&doc! {"tags" => tags(&["a", "b"]), "ents" => ents(&["Movie", "City"])})
+            .unwrap();
+        c.insert(&doc! {"tags" => "a", "ents" => ents(&["Movie"])}).unwrap();
+        c.insert(&doc! {"ents" => Value::Doc(doc! {"type" => "Person"})}).unwrap();
+        let paths = ["tags", "ents.type", "ents.0.type"];
+        let scanned: Vec<_> = paths.iter().map(|p| c.count_by(p).unwrap()).collect();
+        for (i, path) in paths.iter().enumerate() {
+            c.create_index(IndexSpec::new(format!("ix{i}"), *path)).unwrap();
+        }
+        let indexed: Vec<_> = paths.iter().map(|p| c.count_by(p).unwrap()).collect();
+        assert_eq!(scanned, indexed);
+        assert_eq!(scanned[0], vec![(Value::from("a"), 2), (Value::from("b"), 1)]);
+        assert_eq!(
+            scanned[1],
+            vec![
+                (Value::from("City"), 1),
+                (Value::from("Movie"), 2),
+                (Value::from("Person"), 1)
+            ]
+        );
+        assert_eq!(scanned[2], vec![(Value::from("Movie"), 2)]);
+    }
+
+    #[test]
     fn stats_reflect_index_sizes() {
         let c = small();
         for i in 0..20i64 {
@@ -542,7 +578,7 @@ mod tests {
         assert_eq!(one_by_one, batched, "batch routing must match repeated inserts");
         assert_eq!(b.len(), 37);
         for (id, d) in batched.iter().zip(&docs) {
-            assert_eq!(b.get(*id).as_ref(), Some(d));
+            assert_eq!(b.get(*id).unwrap().as_ref(), Some(d));
         }
     }
 
@@ -597,7 +633,7 @@ mod tests {
             let col = Collection::new("shows", config.clone()).unwrap();
             let ids = col.insert_many(&docs).unwrap();
             assert_eq!(col.len(), 40);
-            assert_eq!(col.get(ids[7]).as_ref(), Some(&docs[7]));
+            assert_eq!(col.get(ids[7]).unwrap().as_ref(), Some(&docs[7]));
             col.sync().unwrap();
             ids
         };
@@ -605,7 +641,7 @@ mod tests {
         let reopened = Collection::new("shows", config).unwrap();
         assert_eq!(reopened.len(), 40);
         for (id, d) in ids.iter().zip(&docs) {
-            assert_eq!(reopened.get(*id).as_ref(), Some(d));
+            assert_eq!(reopened.get(*id).unwrap().as_ref(), Some(d));
         }
         let report = reopened.storage_report();
         assert_eq!(report.shards.len(), 3);

@@ -162,8 +162,12 @@ fn map_bound(b: Bound<&Value>) -> Bound<IndexKey> {
     }
 }
 
-/// Resolve a dotted path allowing multikey traversal through arrays.
-fn extract_path(doc: &Document, path: &str, out: &mut Vec<Value>) {
+/// Resolve a dotted path allowing multikey traversal through arrays: `a.b`
+/// descends nested documents, a numeric segment indexes one array element,
+/// any other segment descends every element, and a terminal array
+/// contributes each element. This is storage's one dotted-path semantics —
+/// index maintenance and [`crate::Collection::count_by`] both use it.
+pub(crate) fn extract_path(doc: &Document, path: &str, out: &mut Vec<Value>) {
     fn walk(v: &Value, segments: &[&str], out: &mut Vec<Value>) {
         let Some((seg, rest)) = segments.split_first() else {
             match v {
@@ -197,8 +201,14 @@ fn extract_path(doc: &Document, path: &str, out: &mut Vec<Value>) {
             _ => {}
         }
     }
+    // Start at the first segment's field rather than wrapping the whole
+    // document in a `Value`, which would clone it on every index update.
     let segments: Vec<&str> = path.split('.').collect();
-    walk(&Value::Doc(doc.clone()), &segments, out);
+    if let Some((first, rest)) = segments.split_first() {
+        if let Some(v) = doc.get(first) {
+            walk(v, rest, out);
+        }
+    }
 }
 
 #[cfg(test)]

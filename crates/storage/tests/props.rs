@@ -1,11 +1,12 @@
 //! Property tests for the storage engine: encode/decode roundtrips over
-//! arbitrary documents, extent persistence, and index-vs-scan equivalence.
+//! arbitrary documents, extent persistence, and index-lookup-vs-scan
+//! equivalence.
 
 use proptest::prelude::*;
 
 use datatamer_model::{Document, Value};
 use datatamer_storage::encode::{decode_document, encode_document, encoded_len};
-use datatamer_storage::{Collection, CollectionConfig, Filter, IndexSpec, Query};
+use datatamer_storage::{Collection, CollectionConfig, IndexSpec};
 
 /// Strategy for arbitrary scalar values.
 fn scalar() -> impl Strategy<Value = Value> {
@@ -70,7 +71,7 @@ proptest! {
         ).unwrap();
         let ids: Vec<_> = docs.iter().map(|d| col.insert(d).unwrap()).collect();
         for (id, doc) in ids.iter().zip(&docs) {
-            let fetched = col.get(*id);
+            let fetched = col.get(*id).unwrap();
             prop_assert_eq!(fetched.as_ref(), Some(doc));
         }
         prop_assert_eq!(col.len(), docs.len() as u64);
@@ -91,15 +92,18 @@ proptest! {
             plain.insert(&d).unwrap();
             indexed.insert(&d).unwrap();
         }
-        let q = Query::filtered(Filter::Eq("k".into(), Value::Int(probe)));
-        let mut scan: Vec<i64> = q.execute(&plain).unwrap()
-            .into_iter()
-            .filter_map(|(_, d)| d.get("i").and_then(Value::as_int))
-            .collect();
-        let mut via_index: Vec<i64> = q.execute(&indexed).unwrap()
-            .into_iter()
-            .filter_map(|(_, d)| d.get("i").and_then(Value::as_int))
-            .collect();
+        let probe = Value::Int(probe);
+        let mut scan: Vec<i64> = plain
+            .parallel_scan(|_, d| {
+                (d.get("k") == Some(&probe)).then(|| d.get("i").and_then(Value::as_int)).flatten()
+            })
+            .unwrap();
+        let ids = indexed.with_index("by_k", |idx| idx.lookup(&probe)).unwrap();
+        let mut via_index = Vec::with_capacity(ids.len());
+        for id in ids {
+            let d = indexed.get(id).unwrap().expect("indexed id is live");
+            via_index.extend(d.get("i").and_then(Value::as_int));
+        }
         scan.sort_unstable();
         via_index.sort_unstable();
         prop_assert_eq!(scan, via_index);

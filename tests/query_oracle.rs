@@ -1,5 +1,5 @@
 //! The query-subsystem correctness pin: every plan the executor can pick
-//! (hash probe, ordered probe, columnar scan, full scan) must produce a
+//! (hash probe, ordered probe, full scan) must produce a
 //! result byte-identical to the naive sequential full-scan oracle, over
 //! random corpora and random predicates, at any thread count — and a
 //! [`CollectionView`] kept in sync *incrementally* across
@@ -168,10 +168,10 @@ proptest! {
         for threads in [1usize, 8] {
             let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let got: Vec<(String, String)> = pool.install(|| {
-                // Snapshot assembly itself is parallel (columnar build,
-                // index extraction) — run it inside the pool too.
+                // Snapshot assembly itself is parallel (index
+                // extraction) — run it inside the pool too.
                 let snap = CollectionSnapshot::from_entities(entities.clone(), spec.clone());
-                [ScanMode::Auto, ScanMode::Columnar, ScanMode::FullScan]
+                [ScanMode::Auto, ScanMode::FullScan]
                     .into_iter()
                     .map(|mode| {
                         let ex = snap.execute_as(&q, mode);
@@ -234,7 +234,7 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Record>> {
 }
 
 /// The fixed query battery run against every snapshot pair: one per
-/// plan family (ordered probe, hash probe, columnar, aggregation, sort).
+/// plan family (ordered probe, hash probe, full scan, aggregation, sort).
 fn battery() -> Vec<Query> {
     vec![
         Query::filtered(Predicate::Gte("_members".into(), Value::Int(2)))
@@ -312,7 +312,7 @@ proptest! {
         let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
         for q in battery() {
             let want = fp(&execute_oracle(ctx.fused.as_slice(), &q));
-            for mode in [ScanMode::Auto, ScanMode::Columnar, ScanMode::FullScan] {
+            for mode in [ScanMode::Auto, ScanMode::FullScan] {
                 let a = serial.install(|| fp(&inc_snap.execute_as(&q, mode).result));
                 let b = wide.install(|| fp(&inc_snap.execute_as(&q, mode).result));
                 let c = wide.install(|| fp(&fresh_snap.execute_as(&q, mode).result));

@@ -7,7 +7,7 @@ use std::fs;
 use datatamer::core::ingest::TextIngestor;
 use datatamer::model::{SourceId, Value};
 use datatamer::storage::persist::{load_store, save_store};
-use datatamer::storage::{CollectionConfig, Filter, Query, Store};
+use datatamer::storage::{CollectionConfig, Store};
 use datatamer::text::{DomainParser, EntityType, Gazetteer};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
@@ -54,8 +54,10 @@ fn ingested_collections_roundtrip_through_disk() {
 
     // Queries behave identically post-restore (index-backed lookup).
     let entity = restored.collection("entity").unwrap();
-    let matildas = Query::filtered(Filter::Eq("canonical".into(), Value::from("matilda")))
-        .execute(&entity).unwrap();
+    let matilda = Value::from("matilda");
+    let matildas = entity
+        .parallel_scan(|_, d| (d.get("canonical") == Some(&matilda)).then_some(()))
+        .unwrap();
     assert_eq!(matildas.len(), 2, "two fragments mention Matilda");
     let by_index = entity
         .with_index("by_canonical", |i| i.lookup(&Value::from("matilda")))
